@@ -1,44 +1,41 @@
 //! Kernel throughput benchmark: cycles/second of the event-driven
-//! scheduler against the eager (tick-everything) fallback, and of the
-//! compiled two-state step tape against the interpreted tree-walk.
+//! scheduler against the eager (tick-everything) oracle, and of the
+//! two-state step tape against the interpreted tree-walk.
 //!
-//! Three workloads:
+//! Every workload runs under both schedulers (`eager`, `gated`). Three
+//! workloads:
 //!
 //! * `fig9_2` — the chapter-9 interpolator evaluation, all five
 //!   implementations × four scenarios, repeated. Busy traffic through
 //!   behavioural Rust components: most components have work most cycles,
-//!   so gating helps modestly and the compiled backend (which only
-//!   changes HDL-design evaluation, not behavioural components) matches
-//!   gated.
+//!   so gating helps modestly.
 //! * `fig9_2_hdl` — the same device class at the HDL level: the `mac`
 //!   example's generated `user_mac_unit` top (SIS front plus both function
 //!   units, flattened) compiled to a transition relation and driven with
-//!   pseudo-random SIS stimulus every cycle.
-//!   The design host dispatches on [`Backend`]: `gated`/`eager` run the
-//!   generic tree-walk interpreter under the two-state domain, `compiled`
-//!   runs the bit-packed straight-line op tape lowered from the same
-//!   `CompiledDesign` that `splice check`'s replay executes. This is the
-//!   workload where `Backend::Compiled` must deliver ≥5x over gated.
+//!   pseudo-random SIS stimulus every cycle. The design host runs the
+//!   bit-packed straight-line step tape lowered from the same
+//!   `CompiledDesign` that `splice check`'s replay executes. One extra
+//!   `treewalk` entry (gated schedule) hosts the generic two-state
+//!   tree-walk instead, so the tape's speedup over it stays measured.
 //! * `idle_heavy_sweep` — a `nowait` device with 512–2000-cycle
 //!   calculations, fire-then-wait-for-interrupt. The bus is dead while the
 //!   calculation counts down, which is exactly the stretch the
 //!   sensitivity-gated scheduler skips.
 //!
-//! All modes must simulate the *same number of cycles* — backends are an
-//! optimization, not a semantics change — and the harness asserts that
+//! All modes must simulate the *same number of cycles* — schedulers and
+//! evaluators are optimizations, not semantics changes — and the harness
+//! asserts that
 //! (plus a full signal-history checksum on the HDL workload).
 //!
 //! Usage: `cargo run --release -p splice-bench --bin perf [-- OPTIONS]`
 //!
 //! * `--smoke` — tiny iteration counts plus a hard assert that the Fig 9.2
 //!   cycle table still matches the pinned seed values (CI regression gate).
-//! * `--eager` — measure only the eager fallback (no comparison table).
 //! * `--compare <baseline.json>` — after measuring, compare against the
 //!   checked-in `BENCH_PERF.json` and exit nonzero when any workload's
 //!   `cycles_per_sec` dropped more than the tolerance (perf-regression
-//!   gate; see `splice_bench::compare`). Baselines predating the compiled
-//!   backend simply have no `compiled` entries — those are noted, not
-//!   fatal, so the gate tolerates the old schema.
+//!   gate; see `splice_bench::compare`). Entries present on only one side
+//!   are noted, not fatal, so the gate tolerates schema changes.
 //! * `--tolerance <pct>` — allowed drop for `--compare` (default 20).
 //! * `--trace-out <f>` — write a Chrome trace-event JSON of the bench run
 //!   (one span per workload × mode, with throughput attrs).
@@ -130,8 +127,8 @@ const HDL_ROWS: usize = 512;
 /// Replicated MAC units in the host — a small accelerator bank. Unit 0 is
 /// driven through kernel signals; the shadow units consume the same
 /// stimulus table at staggered offsets, so per-tick design evaluation
-/// dominates over fixed kernel dispatch overhead and the eager/gated/
-/// compiled comparison measures the evaluators, not the scheduler.
+/// dominates over fixed kernel dispatch overhead and the tape/tree-walk
+/// comparison measures the evaluators, not the scheduler.
 const HDL_UNITS: usize = 16;
 
 /// Plays a fixed stimulus table cyclically, one row per tick.
@@ -163,27 +160,32 @@ impl Component for HdlStim {
     }
 }
 
+/// How an [`HdlHost`] evaluates its units.
+enum HdlEval {
+    /// The step tape — the form `splice check`'s replay executes — with
+    /// one word vector per unit.
+    Tape { tape: StepFn, words: Vec<Vec<u64>> },
+    /// The generic two-state tree-walk, with one register state per unit
+    /// (the `treewalk` baseline only).
+    TreeWalk { states: Vec<Vec<u64>> },
+}
+
 /// Hosts a bank of [`HDL_UNITS`] identical [`CompiledDesign`] instances
-/// in the kernel, dispatching per tick on [`TickCtx::backend`] — exactly
-/// the scheme `splice check`'s replay path uses, so the benchmark measures
-/// the same compiled form the checker executes. Unit 0 reads its inputs
-/// from kernel signals and drives the module outputs back; shadow units
-/// 1..N replay the shared stimulus table at staggered offsets. A rolling
+/// in the kernel, each stepped by the host's [`HdlEval`]. Unit 0 reads
+/// its inputs from kernel signals and drives the module outputs back;
+/// shadow units 1..N replay the shared stimulus table at staggered
+/// offsets. A rolling
 /// checksum over every unit's post-step output words pins cross-mode
 /// parity (the outputs are a function of the full register state, so a
 /// divergence anywhere surfaces within a few rows).
 struct HdlHost {
     design: CompiledDesign,
-    tape: StepFn,
+    eval: HdlEval,
     input_ids: Vec<SignalId>,
     output_ids: Vec<SignalId>,
     rows: Vec<Vec<u64>>,
     started: bool,
     t: usize,
-    /// Per-unit interpreted state (eager/gated paths).
-    states: Vec<Vec<u64>>,
-    /// Per-unit tape state (compiled path).
-    words: Vec<Vec<u64>>,
     row: Vec<u64>,
     checksum: u64,
 }
@@ -203,7 +205,6 @@ impl Component for HdlHost {
         for (slot, &id) in self.input_ids.iter().enumerate() {
             self.row[slot] = ctx.get(id);
         }
-        let compiled = ctx.backend() == Backend::Compiled;
         for u in 0..HDL_UNITS {
             // Unit 0 follows the kernel signals; shadow units replay the
             // table at unit-specific offsets (same rows every mode).
@@ -212,19 +213,19 @@ impl Component for HdlHost {
             } else {
                 std::mem::take(&mut self.rows[(self.t + u * 61) % HDL_ROWS])
             };
-            if compiled {
-                let w = &mut self.words[u];
-                self.tape.step(w, &row);
-                self.tape.eval(w, &row);
-            } else {
-                self.states[u] = two_state_step(&self.design, &self.states[u], &row, false);
-            }
             let obs_owned;
-            let obs: &[u64] = if compiled {
-                self.tape.signals(&self.words[u])
-            } else {
-                obs_owned = two_state_eval(&self.design, &self.states[u], &row, false);
-                &obs_owned
+            let obs: &[u64] = match &mut self.eval {
+                HdlEval::Tape { tape, words } => {
+                    let w = &mut words[u];
+                    tape.step(w, &row);
+                    tape.eval(w, &row);
+                    tape.signals(w)
+                }
+                HdlEval::TreeWalk { states } => {
+                    states[u] = two_state_step(&self.design, &states[u], &row, false);
+                    obs_owned = two_state_eval(&self.design, &states[u], &row, false);
+                    &obs_owned
+                }
             };
             if u == 0 {
                 for (slot, &id) in self.design.outputs.iter().enumerate() {
@@ -284,8 +285,9 @@ fn hdl_stimulus(d: &CompiledDesign) -> Vec<Vec<u64>> {
     rows
 }
 
-/// The HDL-level workload: `iters` passes over the stimulus table.
-fn bench_fig9_2_hdl(backend: Backend, iters: u32) -> Meas {
+/// The HDL-level workload: `iters` passes over the stimulus table, every
+/// unit on the step tape, or on the two-state tree-walk if `tree_walk`.
+fn bench_fig9_2_hdl(backend: Backend, tree_walk: bool, iters: u32) -> Meas {
     let module = parse_and_validate(HDL_SPEC).expect("mac spec").module;
     let ir = elaborate(&module);
     let modules = design_modules(&ir, "perf-bench").expect("mac generates");
@@ -302,12 +304,15 @@ fn bench_fig9_2_hdl(backend: Backend, iters: u32) -> Meas {
         .map(|&id| b.sig(d.signals[id].name.clone(), d.signals[id].width))
         .collect();
     b.component(Box::new(HdlStim { rows: rows.clone(), ids: input_ids.clone(), t: 0 }));
-    let tape = StepFn::lower(&d, false);
+    let eval = if tree_walk {
+        HdlEval::TreeWalk { states: (0..HDL_UNITS).map(|_| two_state_initial(&d, false)).collect() }
+    } else {
+        let tape = StepFn::lower(&d, false);
+        HdlEval::Tape { words: (0..HDL_UNITS).map(|_| tape.new_state()).collect(), tape }
+    };
     let num_inputs = d.inputs.len();
     let hidx = b.component(Box::new(HdlHost {
-        words: (0..HDL_UNITS).map(|_| tape.new_state()).collect(),
-        states: (0..HDL_UNITS).map(|_| two_state_initial(&d, false)).collect(),
-        tape,
+        eval,
         input_ids,
         output_ids,
         rows,
@@ -424,7 +429,6 @@ fn trace_meas(name: &str, mode: &str, m: &Meas) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut eager_only = false;
     let mut compare_path: Option<String> = None;
     let mut tolerance = 20.0f64;
     let mut trace_out: Option<String> = None;
@@ -432,7 +436,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--eager" => eager_only = true,
             "--compare" => match it.next() {
                 Some(p) => compare_path = Some(p.clone()),
                 None => {
@@ -456,7 +459,7 @@ fn main() {
             },
             bad => {
                 eprintln!(
-                    "unknown flag {bad}; usage: perf [--smoke] [--eager] \
+                    "unknown flag {bad}; usage: perf [--smoke] \
                      [--compare <baseline.json>] [--tolerance <pct>] [--trace-out <f>]"
                 );
                 std::process::exit(2);
@@ -499,51 +502,36 @@ fn main() {
     let mut json_workloads: Vec<String> = Vec::new();
     let mut current: Vec<PerfEntry> = Vec::new();
 
-    for (name, run, iters) in [
-        ("fig9_2", bench_fig9_2 as fn(Backend, u32) -> Meas, fig_iters),
-        ("fig9_2_hdl", bench_fig9_2_hdl as fn(Backend, u32) -> Meas, hdl_passes),
-        ("idle_heavy_sweep", bench_idle_sweep as fn(Backend, u32) -> Meas, sweep_rounds),
-    ] {
-        let eager = run(Backend::Eager, iters);
-        trace_meas(name, "eager", &eager);
-        rows.push(vec![
-            name.into(),
-            "eager".into(),
-            eager.sim_cycles.to_string(),
-            fmt_ms(&eager),
-            fmt_mcps(&eager),
-            eager.idle_pct(),
-            fmt_levels(&eager),
-        ]);
-        current.push(PerfEntry {
-            workload: name.into(),
-            mode: "eager".into(),
-            cycles_per_sec: eager.cps(),
-        });
-        if eager_only {
-            json_workloads.push(format!(
-                "{{\"name\":\"{name}\",{}\"eager\":{}}}",
-                levels_json(&eager),
-                json_meas(&eager)
-            ));
-            continue;
+    // Each workload under both schedulers; `fig9_2_hdl` adds the
+    // tree-walk host on the gated schedule as the tape's baseline.
+    type Bench = fn(Backend, u32) -> Meas;
+    let workloads: [(&str, Bench, Option<Bench>, u32); 3] = [
+        ("fig9_2", bench_fig9_2, None, fig_iters),
+        (
+            "fig9_2_hdl",
+            |b, iters| bench_fig9_2_hdl(b, false, iters),
+            Some(|b, iters| bench_fig9_2_hdl(b, true, iters)),
+            hdl_passes,
+        ),
+        ("idle_heavy_sweep", bench_idle_sweep, None, sweep_rounds),
+    ];
+    for (name, run, tree_walk, iters) in workloads {
+        let mut modes =
+            vec![("eager", run(Backend::Eager, iters)), ("gated", run(Backend::Gated, iters))];
+        if let Some(tree_walk) = tree_walk {
+            modes.push(("treewalk", tree_walk(Backend::Gated, iters)));
         }
-        let gated = run(Backend::Gated, iters);
-        trace_meas(name, "gated", &gated);
-        let compiled = run(Backend::Compiled, iters);
-        trace_meas(name, "compiled", &compiled);
-        for (mode, m) in [("gated", &gated), ("compiled", &compiled)] {
+        let eager = &modes[0].1;
+        for (mode, m) in &modes {
+            trace_meas(name, mode, m);
             assert_eq!(
                 m.sim_cycles, eager.sim_cycles,
-                "{name}: {mode} backend changed the simulated cycle count"
+                "{name}: {mode} changed the simulated cycle count"
             );
-            assert_eq!(
-                m.check, eager.check,
-                "{name}: {mode} backend changed the signal history checksum"
-            );
+            assert_eq!(m.check, eager.check, "{name}: {mode} changed the signal history checksum");
             rows.push(vec![
                 name.into(),
-                mode.into(),
+                (*mode).into(),
                 m.sim_cycles.to_string(),
                 fmt_ms(m),
                 fmt_mcps(m),
@@ -552,35 +540,36 @@ fn main() {
             ]);
             current.push(PerfEntry {
                 workload: name.into(),
-                mode: mode.into(),
+                mode: (*mode).into(),
                 cycles_per_sec: m.cps(),
             });
         }
+        let gated = &modes[1].1;
         let speedup = gated.cps() / eager.cps();
-        let cspeedup = compiled.cps() / gated.cps();
-        rows.push(vec![name.into(), "speedup".into(), String::new(), String::new(), {
-            format!("g {speedup:.2}x / c {cspeedup:.2}x")
-        }]);
-        json_workloads.push(format!(
-            "{{\"name\":\"{name}\",{}\"eager\":{},\"gated\":{},\"compiled\":{},\
-             \"speedup\":{speedup:.3},\"compiled_speedup\":{cspeedup:.3}}}",
-            levels_json(&eager),
-            json_meas(&eager),
-            json_meas(&gated),
-            json_meas(&compiled),
-        ));
+        let mut ratios = format!("g {speedup:.2}x");
+        let mut json = format!("{{\"name\":\"{name}\",{}", levels_json(eager));
+        for (mode, m) in &modes {
+            json += &format!("\"{mode}\":{},", json_meas(m));
+        }
+        json += &format!("\"speedup\":{speedup:.3}");
+        if let Some((_, walk)) = modes.get(2) {
+            let tape_speedup = gated.cps() / walk.cps();
+            ratios += &format!(" / tape {tape_speedup:.2}x");
+            json += &format!(",\"tape_speedup\":{tape_speedup:.3}");
+        }
+        rows.push(vec![name.into(), "speedup".into(), String::new(), String::new(), ratios]);
+        json_workloads.push(json + "}");
     }
 
     let headers = ["workload", "mode", "sim cycles", "wall ms", "Mcycles/s", "idle", "levels"];
-    println!("\nKernel throughput — scheduler and backend comparison");
+    println!("\nKernel throughput — scheduler and evaluator comparison");
     println!(
         "(fig9_2 x{fig_iters} passes, hdl x{hdl_passes} passes, sweep x{sweep_rounds} rounds)\n"
     );
     print!("{}", table(&headers, &rows));
 
-    let mode = if eager_only { "eager-only" } else { "all" };
     let json = format!(
-        "{{\"bench\":\"kernel_throughput\",\"mode\":\"{mode}\",\"smoke\":{smoke},\
+        "{{\"bench\":\"kernel_throughput\",\"smoke\":{smoke},\
          \"fig9_2_iters\":{fig_iters},\"hdl_passes\":{hdl_passes},\"sweep_rounds\":{sweep_rounds},\
          \"workloads\":[{}]}}\n",
         json_workloads.join(",")

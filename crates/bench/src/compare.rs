@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfEntry {
     pub workload: String,
-    /// `"eager"`, `"gated"`, or `"compiled"`.
+    /// `"eager"`, `"gated"`, or `"treewalk"`.
     pub mode: String,
     pub cycles_per_sec: f64,
 }
@@ -36,7 +36,7 @@ pub fn parse_perf_json(src: &str) -> Result<Vec<PerfEntry>, String> {
     for w in workloads {
         let name =
             w.get("name").and_then(JsonValue::as_str).ok_or("workload entry without a `name`")?;
-        for mode in ["eager", "gated", "compiled"] {
+        for mode in ["eager", "gated", "treewalk"] {
             if let Some(m) = w.get(mode) {
                 let cps = m
                     .get("cycles_per_sec")
@@ -227,39 +227,41 @@ mod tests {
     }
 
     #[test]
-    fn old_schema_baselines_without_compiled_entries_still_pass() {
-        // Baselines written before the compiled backend existed carry only
-        // eager/gated measurements. A current run that adds `compiled`
-        // entries (and whole new workloads) must compare cleanly: the new
-        // measurements are noted as having no baseline, never gated on.
+    fn old_schema_baselines_without_treewalk_entries_still_pass() {
+        // Baselines written before the tree-walk baseline mode existed
+        // carry only eager/gated measurements. A current run that adds
+        // `treewalk` entries must compare cleanly: the new measurements
+        // are noted as having no baseline, never gated on.
         let baseline = parse_perf_json(BASELINE).unwrap();
-        assert!(!baseline.iter().any(|b| b.mode == "compiled"), "fixture predates compiled");
+        assert!(!baseline.iter().any(|b| b.mode == "treewalk"), "fixture predates treewalk");
         let mut current: Vec<PerfEntry> = baseline.clone();
-        current.push(entry("fig9_2", "compiled", 2_100_000.0));
-        current.push(entry("fig9_2_hdl", "compiled", 9_000_000.0));
+        current.push(entry("fig9_2_hdl", "treewalk", 20_000.0));
         let report = compare(&current, &baseline, 10.0);
         assert!(!report.failed(), "{}", report.render_text());
         assert_eq!(report.rows.len(), baseline.len());
         assert_eq!(
             report.missing_baseline,
-            vec!["fig9_2/compiled", "fig9_2_hdl/compiled"],
-            "compiled entries ride as notes against an old-schema baseline"
+            vec!["fig9_2_hdl/treewalk"],
+            "treewalk entries ride as notes against an old-schema baseline"
         );
         assert!(report.missing_current.is_empty());
     }
 
     #[test]
-    fn parses_compiled_mode_entries() {
+    fn parses_treewalk_entries_and_ignores_retired_modes() {
+        // `compiled` entries from baselines predating the scheduler-only
+        // kernel are not a mode any more: they are skipped, not gated.
         let src = r#"{"workloads":[
           {"name":"fig9_2_hdl",
            "eager":{"cycles_per_sec":1000000},
            "gated":{"cycles_per_sec":1100000},
+           "treewalk":{"cycles_per_sec":180000},
            "compiled":{"cycles_per_sec":8000000},
-           "speedup":1.1,"compiled_speedup":7.27}
+           "speedup":1.1,"tape_speedup":6.1}
         ]}"#;
         let entries = parse_perf_json(src).unwrap();
         assert_eq!(entries.len(), 3);
-        assert_eq!(entries[2], entry("fig9_2_hdl", "compiled", 8_000_000.0));
+        assert_eq!(entries[2], entry("fig9_2_hdl", "treewalk", 180_000.0));
     }
 
     #[test]

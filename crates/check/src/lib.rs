@@ -66,12 +66,10 @@ pub struct CheckOptions {
     /// are unchanged); `--no-fold` exists as an escape hatch and as the
     /// parity baseline in CI.
     pub fold: bool,
-    /// Execution backend for counterexample replay. `Compiled` runs the
-    /// bit-packed two-state step tape instead of the interpreted
-    /// tree-walk (verdicts are identical by construction) and emits an
-    /// SL0508 audit warning for any register the ternary analysis proves
-    /// may still read as X after reset — the lowering pins such bits to
-    /// an arbitrary fill value.
+    /// Scheduler for the counterexample-replay kernel. Inert: both replay
+    /// components tick every cycle (`Sensitivity::Always`), so `Eager` and
+    /// `Gated` schedule identically and the design always runs its step
+    /// tape. Kept so struct-literal callers still build.
     pub backend: Backend,
     /// Polled at state-expansion and module boundaries: when it returns
     /// true (the CLI wires it to the SIGINT flag in
@@ -690,63 +688,15 @@ pub fn check_modules(
         compiled.insert(arb_name, d);
     }
 
-    // Compiled-backend X audit: the two-state lowering pins any residual
-    // post-reset X to a fill bit, so surface exactly which registers that
-    // touches before anything executes on the tape.
-    if opts.backend == Backend::Compiled {
-        let mut names: Vec<&String> = compiled.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            warn_two_state_lowering(name, &compiled[name], &mut report);
-        }
-    }
-
     if opts.replay {
         for cex in &mut cexs {
             if let Some(d) = compiled.get(&cex.module) {
-                cex.confirmed = Some(replay::confirm(d, cex, opts.backend));
+                cex.confirmed = Some(replay::confirm(d, cex));
             }
         }
     }
 
     Ok(CheckOutcome { report, counterexamples: cexs, stats })
-}
-
-/// SL0508: audit a module about to execute on the compiled two-state
-/// backend. Any register the ternary analysis proves may still read as X
-/// after the checker's reset phase (the SL0505 condition) is pinned by the
-/// lowering to an arbitrary fill pattern, so its two-state behaviour is
-/// one possible universe rather than the whole ternary envelope.
-fn warn_two_state_lowering(name: &str, d: &CompiledDesign, report: &mut LintReport) {
-    let Ok(pins) = env::resolve_pins(d) else { return };
-    let cfg = AnalysisConfig {
-        reset: Some(ResetPhase { slot: pins.rst, steps: 2 }),
-        ..AnalysisConfig::default()
-    };
-    let analysis = analyze(d, &cfg);
-    let facts = FactTable::build(d, &analysis, &[]);
-    for &id in &d.registers {
-        let xmask = facts.signals[id].xmask;
-        if xmask != 0 {
-            report.push(
-                Diagnostic::warning(
-                    "SL0508",
-                    Layer::Hdl,
-                    Location::signal(name, &d.signals[id].name),
-                    format!(
-                        "register `{}` may still read as X after reset (bit mask {xmask:#x}); \
-                         the compiled two-state backend fixes these bits to an arbitrary \
-                         fill value at power-on",
-                        d.signals[id].name
-                    ),
-                )
-                .suggest(
-                    "add a reset assignment or an initial value so every backend sees the \
-                     same concrete power-up state",
-                ),
-            );
-        }
-    }
 }
 
 /// Check specification text end to end: parse, validate, elaborate,

@@ -129,10 +129,6 @@ CHECK OPTIONS (check mode / --check):
       --no-replay       skip replaying counterexamples against splice-sim
       --no-fold         skip the dataflow constant-folding pre-pass before
                         exploration (escape hatch; verdicts are identical)
-      --backend <b>     simulation backend: gated (default), eager, or
-                        compiled — the bit-packed two-state step tape. All
-                        three produce identical verdicts; compiled also
-                        audits X-to-fill lowering (SL0508)
 
 TIMING OPTIONS (timing mode):
       --top <n>         critical paths reported per module (default 3);
@@ -143,8 +139,6 @@ TIMING OPTIONS (timing mode):
 PROFILE OPTIONS (profile mode):
       --calls <n>       workload rounds (one driver call per function each
                         round; default 1)
-      --backend <b>     as in check mode; note the per-component profiler
-                        forces compiled down to the gated interpreter
 
 Lint rule codes are catalogued in docs/lint.md; the model-checking
 properties (SL04xx) in docs/model-checking.md; tracing and profiling in
@@ -244,19 +238,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--check" => check = true,
             "--no-replay" => check_opts.replay = false,
             "--no-fold" => check_opts.fold = false,
-            "--backend" => {
-                let b = it.next().ok_or("--backend needs one of eager|gated|compiled")?;
-                check_opts.backend = match b.as_str() {
-                    "eager" => splice_check::Backend::Eager,
-                    "gated" => splice_check::Backend::Gated,
-                    "compiled" => splice_check::Backend::Compiled,
-                    other => {
-                        return Err(format!(
-                            "unknown backend `{other}` (expected eager, gated, or compiled)"
-                        ));
-                    }
-                };
-            }
             "--explain" => {
                 let code = it.next().ok_or("--explain needs a rule code argument")?;
                 return match splice_lint::explain(code) {
@@ -652,10 +633,6 @@ fn run_profile(source: &str, spec_path: &str, opts: &Options) -> Result<ExitCode
 
     let _workload = trace::span("workload");
     let mut sys = SplicedSystem::build(module, |_, _| Box::new(DefaultCalc));
-    // The backend flag is shared with check mode; the profiler forces
-    // `compiled` down to the gated interpreter (per-component attribution
-    // needs the tick loop), which `Simulator::effective_backend` handles.
-    sys.sim_mut().set_backend(opts.check_opts.backend);
     sys.sim_mut().enable_profiler();
 
     let irq = module.params.irq;

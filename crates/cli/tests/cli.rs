@@ -289,6 +289,10 @@ fn exit_codes_are_pinned() {
     let out = splice_bin().args(["serve", "--no-such-flag", "x"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "unknown serve flag must exit 2");
 
+    // 2: the retired `--backend` flag is a usage error, not a silent no-op.
+    let out = splice_bin().args(["check", "--backend", "compiled"]).arg(&good).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "`check --backend` must exit 2");
+
     // 3: internal failure — output dir collides with a regular file.
     let blocker = dir.join("blocked");
     std::fs::write(&blocker, "in the way").unwrap();

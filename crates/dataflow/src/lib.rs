@@ -16,10 +16,11 @@
 //! the SL05xx lint rules in `splice-lint` and by the [`fold`] pre-pass
 //! that shrinks the transition relation before model checking.
 //!
-//! A third domain backs the compiled simulation backend: [`lower`] fixes
-//! every X to a concrete fill bit ([`lower::TwoState`]) and compiles the
-//! design into a bit-packed straight-line step function
-//! ([`lower::StepFn`]) for fast concrete replay and benchmarking.
+//! A third domain backs concrete execution: [`lower`] fixes every X to a
+//! concrete fill bit and compiles the design into a bit-packed
+//! straight-line step function ([`lower::StepFn`]), the evaluator
+//! counterexample replay runs. The two-state tree-walk
+//! ([`lower::TwoState`]) remains as its parity oracle.
 
 pub mod domain;
 pub mod engine;

@@ -1,7 +1,7 @@
-//! The compiled two-state simulation backend: lower a flattened
-//! [`CompiledDesign`] into a bit-packed straight-line *step function*.
+//! The two-state step tape: lower a flattened [`CompiledDesign`] into a
+//! bit-packed straight-line *step function*.
 //!
-//! The model checker and the replay engine interpret the design tree with
+//! The model checker interprets the design tree with
 //! per-node `HashMap` pending sets over ternary [`TWord`]s. That is the
 //! right tool for exploring unknowns, but it is slow for long concrete
 //! runs: every statement walks boxed expression trees and every write goes
@@ -39,8 +39,11 @@
 //! [`CompiledDesign::step_values`]/[`eval_values`] over `TwoState`.
 //! Registers that may still hold X in reachable post-reset states
 //! (`SignalFacts::xmask`, the SL0505 condition) are the ones whose lowered
-//! value is *arbitrary* — `splice check --backend compiled` reports them
-//! as SL0508.
+//! value is *arbitrary*; the SL0505 lint names them.
+//!
+//! The tape is the production evaluator: counterexample replay runs it.
+//! `two_state_initial`/`eval`/`step` and [`TwoState`] stay as the parity
+//! suite's oracle and the perf bench's interpreted baseline.
 //!
 //! [`eval_values`]: CompiledDesign::eval_values
 

@@ -99,7 +99,6 @@ pub const CODES: &[(&str, &str)] = &[
     ("SL0505", "register may still hold X in a reachable post-reset state"),
     ("SL0506", "logic cone has no path to an output or checked property"),
     ("SL0507", "register is only ever assigned its own value"),
-    ("SL0508", "compiled two-state backend pins a possibly-X register to a fill value"),
     ("SL0600", "critical path exceeds the logic-depth budget"),
     ("SL0601", "net fans out to more nodes than the budget allows"),
     ("SL0602", "output is driven from an input with no register on the path"),

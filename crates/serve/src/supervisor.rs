@@ -134,6 +134,8 @@ struct Job {
 struct State {
     queue: VecDeque<Job>,
     draining: bool,
+    /// Breakers of keys whose latest attempt failed; a success removes
+    /// the key's entry.
     breakers: HashMap<u128, Breaker>,
     cache: ResultCache,
     inflight: HashMap<u64, usize>,
@@ -393,13 +395,11 @@ impl Inner {
         }
     }
 
-    /// Breaker admission for one content key at dispatch time.
+    /// Breaker admission for one content key at dispatch time. A key
+    /// without a breaker has no failure streak: it runs normally.
     fn admit(&self, key: u128, now: Instant) -> Admission {
         let mut st = self.state.lock().expect("serve state");
-        let threshold = self.config.breaker_threshold;
-        let cooldown = self.config.breaker_cooldown;
-        let b = st.breakers.entry(key).or_insert_with(|| Breaker::new(threshold, cooldown));
-        b.admit(now)
+        st.breakers.get_mut(&key).map_or(Admission::Allow, |b| b.admit(now))
     }
 
     /// A worker attempt produced a deterministic verdict.
@@ -408,12 +408,9 @@ impl Inner {
         {
             let mut st = self.state.lock().expect("serve state");
             st.running -= 1;
-            let threshold = self.config.breaker_threshold;
-            let cooldown = self.config.breaker_cooldown;
-            st.breakers
-                .entry(job.key)
-                .or_insert_with(|| Breaker::new(threshold, cooldown))
-                .record_success();
+            // A success resets the key to a closed breaker with no failure
+            // streak, which admits exactly like no breaker at all.
+            st.breakers.remove(&job.key);
             st.cache.insert(job.key, verdict.clone());
             release_client(&mut st.inflight, job.client);
         }

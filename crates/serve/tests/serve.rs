@@ -252,6 +252,44 @@ fn breaker_opens_for_a_permanently_crashing_spec() {
     assert_eq!(open, 1, "exactly the bomb spec's breaker is open");
 }
 
+/// Breakers exist only for specs whose latest attempt failed: a success
+/// removes the spec's breaker. Distinct specs that all generate leave the
+/// map empty; under crash injection, specs that crash and then recover on
+/// retry leave nothing either, so the map holds exactly the specs that
+/// ran out of attempts.
+#[test]
+fn successful_specs_leave_no_breaker_behind() {
+    /// Submit `jobs` distinct specs; returns (job errors, `breakers.total`).
+    fn run(tag: &str, fault: &str, jobs: u64) -> (u64, u64) {
+        let daemon = Daemon::spawn(
+            tag,
+            &["--workers", "2", "--max-attempts", "4", "--breaker-threshold", "50"],
+            &[("SPLICE_FAULT", fault)],
+        );
+        let mut client = daemon.client();
+        client.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+        let mut job_errors = 0u64;
+        for i in 0..jobs {
+            let spec = spec(&format!("{tag}-{i}"));
+            match client.generate(&spec, JobOptions::default()).expect("job") {
+                Response::Result { verdict, .. } => assert!(verdict.is_ok()),
+                Response::JobError { kind, .. } => {
+                    assert_eq!(kind, JobErrorKind::Crashed);
+                    job_errors += 1;
+                }
+                other => panic!("unexpected response: {other:?}"),
+            }
+        }
+        let status = JsonValue::parse(&client.status().expect("status")).expect("json");
+        let total = status.get("breakers").and_then(|b| b.get("total")).and_then(JsonValue::as_u64);
+        (job_errors, total.expect("breakers.total"))
+    }
+
+    assert_eq!(run("breaker-map-clean", "", 40), (0, 0), "successes must not leave breakers");
+    let (job_errors, total) = run("breaker-map-crash", "crash:p0.3", 24);
+    assert_eq!(total, job_errors, "one breaker per spec that ended in failure, none otherwise");
+}
+
 /// SIGTERM must drain: every job admitted before the signal still gets
 /// its response, then the daemon exits cleanly and removes its socket.
 #[test]

@@ -8,7 +8,7 @@
 //! Because reads always see pre-edge values, skipping a component whose
 //! inputs did not change (and which requested no wake) cannot alter any
 //! signal — results are identical to ticking everything every cycle, which
-//! the `--eager` fallback ([`Simulator::set_eager`]) still does.
+//! the [`Backend::Eager`] oracle schedule still does.
 
 use crate::component::{Component, Sensitivity, TickCtx};
 use crate::metrics::{Event, MetricsRegistry};
@@ -46,24 +46,20 @@ impl RunStats {
     }
 }
 
-/// Execution backend: how the kernel schedules component ticks and — for
-/// components that host a compiled HDL design — how each tick evaluates it.
+/// Scheduler: how the kernel picks which components tick on each edge.
+/// How a component evaluates its tick (a hosted HDL design runs its step
+/// tape, say) is the component's own business.
 ///
-/// Scheduling and simulation results are identical across all three
-/// backends (pinned by `tests/determinism.rs`); they differ only in cost.
+/// Simulation results are identical under both schedules (pinned by
+/// `tests/determinism.rs`); they differ only in cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Tick every component every cycle (the pre-event-driven kernel,
-    /// kept for comparison benchmarks).
+    /// kept as the test and benchmark oracle).
     Eager,
     /// Sensitivity-gated event-driven scheduling (the default).
     #[default]
     Gated,
-    /// Gated scheduling, with design-hosting components asked — via
-    /// [`TickCtx::backend`](crate::component::TickCtx::backend) — to run
-    /// their bit-packed two-state step tape (`splice-dataflow`'s `lower`
-    /// module) instead of the interpreted tree-walk.
-    Compiled,
 }
 
 /// Errors raised while building or running a simulation.
@@ -217,7 +213,7 @@ pub struct Simulator {
     wake_cause: Vec<u8>,
     /// Minimum over `wake_at` — gate for the idle fast path.
     min_wake: u64,
-    /// Selected execution backend (see [`Backend`]); `Eager` forces every
+    /// Selected scheduler (see [`Backend`]); `Eager` forces every
     /// component to tick every cycle.
     backend: Backend,
     cycle: u64,
@@ -252,22 +248,11 @@ impl Simulator {
         self.cycle
     }
 
-    /// Disable (or re-enable) sensitivity-gated scheduling: when eager,
-    /// every component ticks every cycle exactly like the original kernel.
-    /// Results are identical either way; eager mode exists for performance
-    /// comparison (`splice-bench --bin perf -- --eager`).
-    ///
-    /// Note that enabling metrics also forces eager evaluation, because
-    /// instrumented components count per-cycle occupancy (wait states, busy
-    /// cycles) from inside their tick.
-    pub fn set_eager(&mut self, eager: bool) {
-        self.backend = if eager { Backend::Eager } else { Backend::Gated };
-    }
-
-    /// Select the execution [`Backend`]. `Compiled` keeps gated scheduling
-    /// but asks design-hosting components to run their bit-packed step
-    /// tape; metrics collection still forces the eager interpreted path
-    /// (see [`effective_backend`](Self::effective_backend)).
+    /// Select the scheduler. `Eager` ticks every component every cycle,
+    /// exactly like the original kernel; results are identical either
+    /// way, so it exists as a test and benchmark oracle. Metrics
+    /// collection forces `Eager` regardless (see
+    /// [`effective_backend`](Self::effective_backend)).
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -277,16 +262,13 @@ impl Simulator {
         self.backend
     }
 
-    /// The backend actually in effect for the next step. Enabling metrics
-    /// forces the eager interpreted path (instrumented components count
-    /// per-cycle occupancy from inside their tick); enabling the profiler
-    /// keeps gated scheduling but forces the interpreted tree-walk so
-    /// per-tick costs stay comparable across components.
+    /// The scheduler actually in effect for the next step. Enabling
+    /// metrics forces `Eager`, because instrumented components count
+    /// per-cycle occupancy (wait states, busy cycles) from inside their
+    /// tick. The profiler never changes it.
     pub fn effective_backend(&self) -> Backend {
         if self.metrics.is_enabled() {
             Backend::Eager
-        } else if self.profiler.is_some() && self.backend == Backend::Compiled {
-            Backend::Gated
         } else {
             self.backend
         }
@@ -381,8 +363,7 @@ impl Simulator {
             t.sample(self.cycle, &self.cur);
         }
 
-        let backend = self.effective_backend();
-        let eager = backend == Backend::Eager;
+        let eager = self.effective_backend() == Backend::Eager;
         // Idle fast path: every component is asleep and none is due — no
         // tick can write anything, so the cycle is a counter increment.
         if !eager && self.num_always == 0 && self.min_wake > self.cycle {
@@ -457,7 +438,6 @@ impl Simulator {
                     written,
                     component: i as u32,
                     cycle,
-                    backend,
                     conflict: &mut conflict,
                     metrics,
                     wake: &mut wake_at[i],
@@ -922,7 +902,7 @@ mod tests {
             b.component(Box::new(OneShot { out: pulse, at: 7, fired_at: None }));
             b.component(Box::new(GatedReg { input: pulse, output: echo, ticks: 0 }));
             let mut sim = b.build();
-            sim.set_eager(eager);
+            sim.set_backend(if eager { Backend::Eager } else { Backend::Gated });
             let t = sim.attach_trace(&[pulse, echo]);
             sim.run(12).unwrap();
             (sim.trace(t).values("pulse").unwrap(), sim.trace(t).values("echo").unwrap())
@@ -1027,7 +1007,7 @@ mod tests {
         let echo = b.sig("echo", 1);
         let idx = b.component(Box::new(GatedReg { input: pulse, output: echo, ticks: 0 }));
         let mut sim = b.build();
-        sim.set_eager(true);
+        sim.set_backend(Backend::Eager);
         sim.run(10).unwrap();
         assert_eq!(sim.component::<GatedReg>(idx).unwrap().ticks, 10);
     }
@@ -1143,25 +1123,24 @@ mod tests {
         assert_eq!(sim.backend(), Backend::Gated);
         assert_eq!(sim.effective_backend(), Backend::Gated);
 
-        // The legacy eager toggle is a shim over the backend enum.
-        sim.set_eager(true);
+        // The eager oracle round-trips through `set_backend`.
+        sim.set_backend(Backend::Eager);
         assert_eq!(sim.backend(), Backend::Eager);
         assert!(sim.is_eager());
-        sim.set_eager(false);
+        sim.set_backend(Backend::Gated);
         assert_eq!(sim.backend(), Backend::Gated);
 
-        // Compiled schedules like Gated; the profiler forces the
-        // interpreted tree-walk but keeps gated scheduling.
-        sim.set_backend(Backend::Compiled);
-        assert_eq!(sim.effective_backend(), Backend::Compiled);
-        assert!(!sim.is_eager());
-        sim.enable_profiler();
-        assert_eq!(sim.effective_backend(), Backend::Gated);
-        sim.run(3).unwrap();
-        sim.take_profile();
-        assert_eq!(sim.effective_backend(), Backend::Compiled);
+        // The profiler never changes the schedule, under either backend.
+        for backend in [Backend::Eager, Backend::Gated] {
+            sim.set_backend(backend);
+            sim.enable_profiler();
+            assert_eq!(sim.effective_backend(), backend);
+            sim.run(3).unwrap();
+            sim.take_profile();
+            assert_eq!(sim.effective_backend(), backend);
+        }
 
-        // Metrics force the eager interpreted path outright.
+        // Metrics force the eager schedule outright.
         sim.metrics_mut().enable();
         assert_eq!(sim.effective_backend(), Backend::Eager);
         assert!(sim.is_eager());

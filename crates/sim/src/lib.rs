@@ -19,7 +19,8 @@
 //! watched signals changed (timed behaviour uses
 //! [`TickCtx::wake_after`]). Results are cycle-exact either way — see
 //! `docs/performance.md` for the scheduling model and the
-//! [`Simulator::set_eager`] escape hatch.
+//! [`Backend::Eager`] oracle schedule. The kernel only schedules: how a
+//! component evaluates its tick is its own concern.
 //!
 //! Multi-driver errors — two components scheduling the same signal in one
 //! cycle — are detected at runtime and reported with both signal and cycle.

@@ -11,6 +11,7 @@
 use splice::prelude::*;
 use splice_devices::eval::{fig_9_2, InterpImpl, InterpRunner};
 use splice_devices::interp::{reference_result, Scenario};
+use splice_sim::Backend;
 
 /// Fig 9.2 cycle counts (per-scenario, per-implementation) as reproduced
 /// by the seed's eager kernel. Totals: 680 / 298 / 508 / 344 / 488.
@@ -39,7 +40,7 @@ fn gated_and_eager_schedulers_agree_cycle_for_cycle() {
     for imp in InterpImpl::all() {
         let mut gated = InterpRunner::build(imp);
         let mut eager = InterpRunner::build(imp);
-        eager.sim_mut().set_eager(true);
+        eager.sim_mut().set_backend(Backend::Eager);
         assert!(!gated.sim().is_eager(), "{imp:?}: gated runner unexpectedly eager");
         assert!(eager.sim().is_eager());
 
@@ -52,24 +53,6 @@ fn gated_and_eager_schedulers_agree_cycle_for_cycle() {
         }
         // Both schedulers must also land on the same absolute device time.
         assert_eq!(gated.sim().cycle(), eager.sim().cycle(), "{imp:?}: device time diverged");
-    }
-}
-
-#[test]
-fn compiled_backend_preserves_the_pinned_fig_9_2_table() {
-    // `Backend::Compiled` only changes how hosted HDL designs evaluate
-    // their ticks (the behavioural Fig 9.2 components have none), and it
-    // schedules exactly like the gated kernel — so the headline table
-    // must stay byte-identical: 680 / 298 / 508 / 344 / 488.
-    use splice_sim::Backend;
-    for (imp, pinned_row) in PINNED {
-        let mut compiled = InterpRunner::build(imp);
-        compiled.sim_mut().set_backend(Backend::Compiled);
-        for (s, want) in Scenario::all().iter().zip(pinned_row) {
-            let (cycles, result) = compiled.run(*s);
-            assert_eq!(cycles, want, "{imp:?} {s:?}: compiled backend shifted the cycle count");
-            assert_eq!(result, reference_result(*s), "{imp:?} {s:?}: wrong result");
-        }
     }
 }
 
@@ -109,7 +92,7 @@ fn protocol_checker_verdicts_match_gated_vs_eager() {
 
     let mut gated = SplicedSystem::build_checked(&module, |_, _| Box::new(Sum(3)));
     let mut eager = SplicedSystem::build_checked(&module, |_, _| Box::new(Sum(3)));
-    eager.sim_mut().set_eager(true);
+    eager.sim_mut().set_backend(Backend::Eager);
 
     for sys in [&mut gated, &mut eager] {
         let out = sys.call("add", &CallArgs::scalars(&[4, 5])).unwrap();
